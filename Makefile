@@ -6,7 +6,7 @@ GO ?= go
 # per-package default or hang a -race smoke until the job is killed.
 SMOKE_DEADLINE ?= 600
 
-.PHONY: all fmt fmt-check vet build test race bench bench-smoke benchdiff baseline bench-wallclock bench-wallclock-scaling baseline-wallclock tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check
+.PHONY: all fmt fmt-check vet build test race bench bench-smoke benchdiff baseline bench-wallclock bench-wallclock-scaling baseline-wallclock tables load-smoke load-scale-smoke loaded-smoke docs-check
 
 all: build test
 
@@ -95,16 +95,6 @@ load-smoke:
 load-scale-smoke:
 	timeout $(SMOKE_DEADLINE) $(GO) run -race ./cmd/load -workload fanin -hosts 1024 -reqs 1 -hashpcb \
 		-fabric fattree -stream on -stagger 5500 -json > /dev/null
-
-## shard-smoke: a 1024-host fat-tree fan-in split across 4 shards under
-## the race detector (what CI runs). The shard workers really do run
-## concurrently, so this exercises every cross-shard path — staged cell
-## injection, barrier control transfers, VC setup across cuts — with
-## the race detector watching, and the run's digest still matches the
-## serial golden (the sharded golden tests pin that separately).
-shard-smoke:
-	timeout $(SMOKE_DEADLINE) $(GO) run -race ./cmd/load -workload fanin -hosts 1024 -reqs 1 -hashpcb \
-		-fabric fattree -stream on -stagger 5500 -shards 4 -json > /dev/null
 
 ## loaded-smoke: the congested-regime tier end to end under the race
 ## detector (what CI runs): both transports (TCP and reliable UDP)

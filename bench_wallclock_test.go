@@ -130,48 +130,6 @@ func BenchmarkWallclockFanIn10k(b *testing.B) {
 	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
 }
 
-// BenchmarkWallclockFanIn10kSharded is the 10,000-client fan-in driven
-// through the 4-shard cluster executor: identical simulated results
-// (the sharded golden tests pin this), with the event loops of the four
-// host partitions running on concurrent goroutines under conservative
-// lookahead. Compare its ns/op against BenchmarkWallclockFanIn10k at
-// -cpu=2 or higher to read the parallel speedup; on a single-CPU
-// machine it instead measures the barrier overhead sharding adds.
-func BenchmarkWallclockFanIn10kSharded(b *testing.B) {
-	b.ReportAllocs()
-	gen := workload.FanIn{
-		Size:     200,
-		Requests: 1,
-		Warmup:   0,
-		Stagger:  5000 * sim.Microsecond,
-		Stats:    stats.Config{Streaming: true},
-	}
-	cfg := lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true}
-	var peak uint64
-	for i := 0; i < b.N; i++ {
-		c, err := lab.NewCluster(cfg, 10001, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := workload.RunSharded(gen, c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Requests != 10000 {
-			b.Fatalf("completed %d of 10000 requests", res.Requests)
-		}
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		if m.HeapAlloc > peak {
-			peak = m.HeapAlloc
-		}
-		b.ReportMetric(float64(c.Rounds()), "rounds")
-		runtime.KeepAlive(c)
-	}
-	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
-}
-
 // echoMallocs runs one 1400-byte echo lab to completion and returns the
 // number of heap allocations it performed.
 func echoMallocs(b *testing.B, iters int) uint64 {

@@ -23,12 +23,7 @@
 // ns/op scaling ratio per GOMAXPROCS value present in the input, warning
 // (non-fatally) when the parallel sweep was not faster on a multi-core
 // run; -scaling prints only that report, for a -cpu=1,2 invocation of
-// the sweep pair with no baseline gate. The sharded fan-in pair
-// (BenchmarkWallclockFanIn10k vs ...Sharded — one simulation split
-// across shard event loops, not many trials across workers) gets the
-// same treatment: a sharded/serial ratio per GOMAXPROCS, a warning only
-// when real parallelism was available and unused, and an explanatory
-// note when GOMAXPROCS exceeds the machine's CPUs. Baselines written by
+// the sweep pair with no baseline gate. Baselines written by
 // -write carry the recording machine's GOMAXPROCS and sweep worker
 // count as meta/ keys, excluded from the drift comparison but surfaced
 // as a note when a baseline from different hardware is compared.
@@ -90,10 +85,10 @@ func run(args []string, in io.Reader, w io.Writer) error {
 	}
 
 	var got map[string]float64
-	var sweeps, shards []sweepSample
+	var sweeps []sweepSample
 	var err error
 	if *wallclock {
-		got, sweeps, shards, err = parseWallclock(in)
+		got, sweeps, err = parseWallclock(in)
 	} else {
 		got, err = parseBench(in)
 	}
@@ -105,7 +100,6 @@ func run(args []string, in io.Reader, w io.Writer) error {
 	}
 	if *wallclock {
 		reportScaling(w, sweeps, *cpus)
-		reportShardScaling(w, shards, *cpus)
 	}
 	if *scaling {
 		return nil
@@ -205,46 +199,6 @@ func reportScaling(w io.Writer, sweeps []sweepSample, cpus int) {
 	}
 }
 
-// reportShardScaling prints the sharded/serial wall-clock ratio of the
-// 10k fan-in pair for every GOMAXPROCS value both variants ran at. Where
-// the sweep pair measures trial-level parallelism (independent
-// simulations on worker goroutines), this pair measures event-level
-// parallelism: ONE simulation's event loop split across host shards
-// under conservative lookahead, bit-identical to serial by contract.
-// The warning discipline matches reportScaling: non-fatal, and a run
-// whose GOMAXPROCS exceeds the machine's CPUs gets an explanatory note
-// instead — on one core the ratio measures barrier and goroutine-switch
-// overhead, not a sharding regression.
-func reportShardScaling(w io.Writer, shards []sweepSample, cpus int) {
-	byProcs := map[int]map[string]float64{}
-	procsSeen := []int{}
-	for _, s := range shards {
-		if byProcs[s.procs] == nil {
-			byProcs[s.procs] = map[string]float64{}
-			procsSeen = append(procsSeen, s.procs)
-		}
-		byProcs[s.procs][s.name] = s.nsOp
-	}
-	sort.Ints(procsSeen)
-	for _, procs := range procsSeen {
-		serial, okS := byProcs[procs]["Serial"]
-		sharded, okH := byProcs[procs]["Sharded"]
-		if !okS || !okH || serial == 0 {
-			continue
-		}
-		ratio := sharded / serial
-		fmt.Fprintf(w, "scaling: sharded/serial fan-in ns/op ratio %.3f at GOMAXPROCS=%d\n", ratio, procs)
-		switch {
-		case procs == 1:
-			fmt.Fprintf(w, "scaling: note: GOMAXPROCS=1 cannot show a sharded speedup; the ratio measures barrier overhead\n")
-		case procs > cpus:
-			fmt.Fprintf(w, "scaling: note: GOMAXPROCS=%d exceeds this machine's %d CPU(s); a sharded speedup is impossible and the ratio measures barrier and context-switch overhead, not a regression\n", procs, cpus)
-		case ratio >= 1:
-			fmt.Fprintf(w, "WARNING scaling: sharded fan-in is not faster than serial (ratio %.3f at GOMAXPROCS=%d)\n", ratio, procs)
-		}
-	}
-}
-
 // reportMetaMismatch prints a non-fatal note when the baseline's
 // recorded machine metadata differs from this run's.
 func reportMetaMismatch(w io.Writer, base, got map[string]float64) {
@@ -313,17 +267,14 @@ func parseBench(in io.Reader) (map[string]float64, error) {
 // meta/sweep_workers (the sweep pair's custom "workers" metric), and
 // meta/peak_heap_mb (the fan-in scale benchmark's peak-heap-MB metric —
 // live heap is a property of the whole process, so it is recorded for
-// the record rather than gated). The sharded fan-in's "rounds" metric —
-// barrier rounds per run, a deterministic property of the simulation —
-// is gated like an allocation count: it moves only when the horizon
-// algorithm changes. They are written into baselines and compared only
-// informationally, so a baseline recorded on one machine is never
-// silently treated as equivalent on another. Per-GOMAXPROCS ns/op
-// samples of the sweep pair and the sharded fan-in pair are returned
-// separately for the two scaling reports.
-func parseWallclock(in io.Reader) (map[string]float64, []sweepSample, []sweepSample, error) {
+// the record rather than gated). They are written into baselines and
+// compared only informationally, so a baseline recorded on one machine
+// is never silently treated as equivalent on another. Per-GOMAXPROCS
+// ns/op samples of the sweep pair are returned separately for the
+// scaling report.
+func parseWallclock(in io.Reader) (map[string]float64, []sweepSample, error) {
 	out := map[string]float64{}
-	var sweeps, shards []sweepSample
+	var sweeps []sweepSample
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -356,7 +307,7 @@ func parseWallclock(in io.Reader) (map[string]float64, []sweepSample, []sweepSam
 				continue
 			}
 			switch unit {
-			case "ns/op", "B/op", "allocs/op", "allocs/rtt", "rounds":
+			case "ns/op", "B/op", "allocs/op", "allocs/rtt":
 			default:
 				continue
 			}
@@ -373,17 +324,9 @@ func parseWallclock(in io.Reader) (map[string]float64, []sweepSample, []sweepSam
 			if unit == "ns/op" && (sweepVariant == "Serial" || sweepVariant == "Parallel") {
 				sweeps = append(sweeps, sweepSample{name: sweepVariant, procs: procs, nsOp: v})
 			}
-			if unit == "ns/op" {
-				switch name {
-				case "BenchmarkWallclockFanIn10k":
-					shards = append(shards, sweepSample{name: "Serial", procs: procs, nsOp: v})
-				case "BenchmarkWallclockFanIn10kSharded":
-					shards = append(shards, sweepSample{name: "Sharded", procs: procs, nsOp: v})
-				}
-			}
 		}
 	}
-	return out, sweeps, shards, sc.Err()
+	return out, sweeps, sc.Err()
 }
 
 // hasAllocMetric reports whether any parsed metric is an allocation

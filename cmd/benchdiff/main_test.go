@@ -106,7 +106,7 @@ PASS
 `
 
 func TestParseWallclock(t *testing.T) {
-	got, sweeps, _, err := parseWallclock(strings.NewReader(sampleWallclock))
+	got, sweeps, err := parseWallclock(strings.NewReader(sampleWallclock))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,90 +197,6 @@ func TestScalingOversubscribedIsNoteNotWarning(t *testing.T) {
 	}
 }
 
-// sampleShardScaling is the fan-in pair run under -cpu=1,2: sharded is
-// slower on one CPU (barrier overhead, noted) and faster on two.
-const sampleShardScaling = `goos: linux
-BenchmarkWallclockFanIn10k     	       1	2400000000 ns/op	       108.0 peak-heap-MB	370000000 B/op	 2000000 allocs/op
-BenchmarkWallclockFanIn10k-2   	       1	2400000000 ns/op	       108.0 peak-heap-MB	370000000 B/op	 2000000 allocs/op
-BenchmarkWallclockFanIn10kSharded     	       1	3900000000 ns/op	       108.0 peak-heap-MB	    879574 rounds	470000000 B/op	 3800000 allocs/op
-BenchmarkWallclockFanIn10kSharded-2   	       1	1560000000 ns/op	       108.0 peak-heap-MB	    879574 rounds	470000000 B/op	 3800000 allocs/op
-PASS
-`
-
-func TestShardScalingReport(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-wallclock", "-scaling", "-cpus", "2"},
-		strings.NewReader(sampleShardScaling), &out); err != nil {
-		t.Fatalf("shard scaling report failed: %v\n%s", err, out.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "sharded/serial fan-in ns/op ratio 1.625 at GOMAXPROCS=1") ||
-		!strings.Contains(s, "sharded/serial fan-in ns/op ratio 0.650 at GOMAXPROCS=2") {
-		t.Errorf("per-GOMAXPROCS shard ratios missing:\n%s", s)
-	}
-	if !strings.Contains(s, "GOMAXPROCS=1 cannot show a sharded speedup") {
-		t.Errorf("single-CPU note missing:\n%s", s)
-	}
-	if strings.Contains(s, "WARNING") {
-		t.Errorf("healthy 2-CPU shard scaling should not warn:\n%s", s)
-	}
-}
-
-func TestShardScalingWarnsAndNotes(t *testing.T) {
-	// Sharded slower at GOMAXPROCS=2 with two real CPUs: warn, non-fatally.
-	slower := strings.Replace(sampleShardScaling, "1560000000", "3900000000", 1)
-	var out bytes.Buffer
-	if err := run([]string{"-wallclock", "-scaling", "-cpus", "2"},
-		strings.NewReader(slower), &out); err != nil {
-		t.Fatalf("shard scaling warning must be non-fatal: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "WARNING scaling: sharded fan-in is not faster") {
-		t.Errorf("missing warning for sharded >= serial at GOMAXPROCS=2:\n%s", out.String())
-	}
-	// The same numbers on a one-CPU machine: an explanatory note, no warning.
-	out.Reset()
-	if err := run([]string{"-wallclock", "-scaling", "-cpus", "1"},
-		strings.NewReader(slower), &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "GOMAXPROCS=2 exceeds this machine's 1 CPU(s)") {
-		t.Errorf("missing oversubscription note:\n%s", s)
-	}
-	if strings.Contains(s, "WARNING") {
-		t.Errorf("oversubscribed shard run must not warn:\n%s", s)
-	}
-}
-
-func TestShardedRoundsMetricGated(t *testing.T) {
-	got, _, shards, err := parseWallclock(strings.NewReader(sampleShardScaling))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["BenchmarkWallclockFanIn10kSharded/rounds"] != 879574 {
-		t.Fatalf("rounds not parsed as a gated metric: %v", got)
-	}
-	if len(shards) != 4 {
-		t.Fatalf("shard samples = %+v, want 4", shards)
-	}
-	// Rounds are deterministic: a 30% swing means the horizon algorithm
-	// changed, which must force a deliberate re-baseline.
-	path := filepath.Join(t.TempDir(), "wall.json")
-	if err := run([]string{"-wallclock", "-write", path},
-		strings.NewReader(sampleShardScaling), &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	swollen := strings.ReplaceAll(sampleShardScaling, "879574 rounds", "1143446 rounds")
-	var out bytes.Buffer
-	if err := run([]string{"-wallclock", "-cpus", "1", "-baseline", path},
-		strings.NewReader(swollen), &out); err == nil {
-		t.Fatalf("30%% round-count swing not detected:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "DRIFT") || !strings.Contains(out.String(), "rounds") {
-		t.Fatalf("rounds drift report missing:\n%s", out.String())
-	}
-}
-
 func TestWallclockMetaRecordedAndExcluded(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wall.json")
@@ -363,7 +279,7 @@ PASS
 `
 
 func TestWallclockBytesBandAndPeakHeapMeta(t *testing.T) {
-	got, _, _, err := parseWallclock(strings.NewReader(sampleScale))
+	got, _, err := parseWallclock(strings.NewReader(sampleScale))
 	if err != nil {
 		t.Fatal(err)
 	}

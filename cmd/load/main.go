@@ -12,11 +12,10 @@
 //	load -workload churn -hosts 9 -conns 25       # open/close storms
 //	load -workload bulk -hosts 5 -bytes 262144    # concurrent bulk fan-in
 //	load -workload fanin -trials 8 -loss 0.0005 -parallel 4  # repetitions under loss
-//	load -workload fanin -hosts 17 -reqs 4 -shards 4     # host-sharded event loops
 //	load -workload fanin -transport rudp -qdisc red      # reliable-UDP rival transport
 //	load -workload loaded -burstloss 0.002 -crosstraffic 2   # TCP vs rUDP under load
 //	load -workload faults -hosts 65 -crashat 500 -downtime 1000  # crash-recovery study
-//	load -workload fanin -faults 2 -shards 4             # seeded link flaps, shard-safe
+//	load -workload fanin -faults 2                       # seeded link flaps
 package main
 
 import (
@@ -88,12 +87,11 @@ func run(args []string, w io.Writer) error {
 		stagger  = fs.Int64("stagger", -1, "fanin: per-client start stagger in microseconds (-1 = auto: the per-client service estimate past -hosts 1024, else 0)")
 		fabric   = fs.String("fabric", "hub", "ATM switch fabric: hub (one switch) or fattree (leaf switches trunked to a spine)")
 		leaf     = fs.Int("leafports", 0, "fattree: hosts per leaf switch (0 = default 64)")
-		shards   = fs.Int("shards", 0, "host-sharded trial execution: run each trial's event loop across N worker shards, bit-identical to serial (0 or 1 = serial)")
 		transp   = fs.String("transport", "tcp", "fanin: transport under test, tcp or rudp (reliable UDP)")
 		qdisc    = fs.String("qdisc", "none", "ATM egress queue discipline: none, droptail, red, or drr")
 		burst    = fs.Float64("burstloss", 0, "Gilbert-Elliott burst loss: probability of entering the bad state per cell (0 = off)")
 		crossN   = fs.Int("crosstraffic", 0, "fanin/loaded: background bounded-Pareto transfer flows contending with the workload")
-		faultsN  = fs.Int("faults", 0, "fanin: seeded link flaps per client host during the run (shard-safe; 0 = none)")
+		faultsN  = fs.Int("faults", 0, "fanin: seeded link flaps per client host during the run (0 = none)")
 		crashAt  = fs.Int64("crashat", 0, "faults: server crash time in milliseconds (0 = default 500)")
 		downtime = fs.Int64("downtime", 0, "faults: crash-to-restart gap in milliseconds (0 = default 1000)")
 	)
@@ -113,19 +111,20 @@ func run(args []string, w io.Writer) error {
 	if *loss < 0 || *loss >= 1 {
 		return fmt.Errorf("-loss %g out of range [0, 1)", *loss)
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d must be >= 0", *shards)
+	if *reqs < 1 {
+		return fmt.Errorf("-reqs %d must be >= 1", *reqs)
 	}
-	if *shards > 1 {
-		if *link != "atm" {
-			return fmt.Errorf("-shards applies to the ATM link only (ether is one broadcast domain with no cuttable link)")
-		}
-		if *loss > 0 {
-			return fmt.Errorf("-shards cannot run with -loss: fault draws consume the serial RNG stream, which shards do not share")
-		}
-		if *burst > 0 {
-			return fmt.Errorf("-shards cannot run with -burstloss: fault studies compare serial runs only")
-		}
+	if *conns < 1 {
+		return fmt.Errorf("-conns %d must be >= 1", *conns)
+	}
+	if *bytesN < 1 {
+		return fmt.Errorf("-bytes %d must be >= 1", *bytesN)
+	}
+	if *size < 0 {
+		return fmt.Errorf("-size %d must be >= 0 (0 = workload default)", *size)
+	}
+	if *leaf < 0 {
+		return fmt.Errorf("-leafports %d must be >= 0 (0 = default 64)", *leaf)
 	}
 	if *burst < 0 || *burst >= 1 {
 		return fmt.Errorf("-burstloss %g out of range [0, 1)", *burst)
@@ -172,6 +171,9 @@ func run(args []string, w io.Writer) error {
 	switch *fabric {
 	case "hub":
 		cfg.Fabric = lab.FabricHub
+		if *leaf != 0 {
+			return fmt.Errorf("-leafports applies to -fabric fattree only")
+		}
 	case "fattree":
 		cfg.Fabric = lab.FabricFatTree
 		if cfg.Link != lab.LinkATM {
@@ -215,7 +217,6 @@ func run(args []string, w io.Writer) error {
 			Qdisc:      cfg.Qdisc,
 			BurstLoss:  cfg.BurstLoss,
 			CrossFlows: *crossN,
-			Shards:     *shards,
 			Parallel:   *parallel,
 			BaseSeed:   *seed,
 		})
@@ -269,9 +270,6 @@ func run(args []string, w io.Writer) error {
 		if *trials != 1 {
 			return fmt.Errorf("-trials does not apply to -workload faults")
 		}
-		if *shards > 1 {
-			return fmt.Errorf("-shards does not apply to -workload faults (host crashes mutate cross-shard state; see docs/METHODOLOGY.md)")
-		}
 		res, err := core.RunFaultStudy(core.FaultOptions{
 			Hosts: *hosts, Requests: *reqs, Size: *size,
 			CrashAt:  sim.Time(*crashAt) * sim.Millisecond,
@@ -292,6 +290,21 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprint(w, res.Render())
 		return nil
+	}
+
+	// Knobs the chosen generator does not consume are rejected rather
+	// than silently dropped, as for the two studies above.
+	switch *wl {
+	case "churn", "bulk", "echo":
+		if *stagger >= 0 {
+			return fmt.Errorf("-stagger applies to the fanin workload only")
+		}
+		if *wl != "churn" && *stream != "auto" {
+			return fmt.Errorf("-stream applies to the fanin and churn workloads only")
+		}
+		if *wl == "bulk" && *size != 0 {
+			return fmt.Errorf("-size does not apply to -workload bulk (use -bytes)")
+		}
 	}
 
 	var stCfg stats.Config
@@ -335,7 +348,7 @@ func run(args []string, w io.Writer) error {
 			if *trials > 1 {
 				label += fmt.Sprintf("/t%d", t)
 			}
-			ts = append(ts, runner.WorkloadTrial{Label: label, Cfg: c, Hosts: *hosts, Gen: gen, Shards: *shards})
+			ts = append(ts, runner.WorkloadTrial{Label: label, Cfg: c, Hosts: *hosts, Gen: gen})
 		}
 	}
 
@@ -414,7 +427,7 @@ func makeGenerator(name string, size, reqs, conns, bytes int, st stats.Config, s
 		if faults > 0 {
 			// The flap schedule derives from the base seed and host
 			// indices alone (per-entity splitmix64 streams), so it is
-			// identical serially and at any -shards level.
+			// identical at any -parallel level.
 			clients := make([]int, 0, hosts-1)
 			for i := 1; i < hosts; i++ {
 				clients = append(clients, i)

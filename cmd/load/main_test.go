@@ -96,10 +96,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-trials", "0"},
 		{"-loss", "1.5"},
 		{"-link", "ether", "-loss", "0.001"},
-		{"-shards", "-1"},
-		{"-shards", "4", "-link", "ether"},
-		{"-shards", "4", "-loss", "0.001"},
-		{"-shards", "4", "-burstloss", "0.001"},
 		{"-burstloss", "1.5"},
 		{"-crosstraffic", "-1"},
 		{"-qdisc", "codel"},
@@ -139,10 +135,43 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-workload", "faults", "-compare"},
 		{"-workload", "faults", "-hashpcb"},
 		{"-workload", "faults", "-trials", "2"},
-		{"-workload", "faults", "-shards", "2"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Fatalf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRunRejectsIgnoredFlags pins the no-silent-flags policy for the
+// plain generators: a flag the chosen workload would ignore, or an out
+// of range value that would quietly fall back to a default, is an error
+// that names the flag.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-size", []string{"-workload", "bulk", "-size", "100"}},
+		{"-stagger", []string{"-workload", "churn", "-stagger", "100"}},
+		{"-stagger", []string{"-workload", "bulk", "-stagger", "0"}},
+		{"-stagger", []string{"-workload", "echo", "-stagger", "100"}},
+		{"-stream", []string{"-workload", "bulk", "-stream", "on"}},
+		{"-stream", []string{"-workload", "echo", "-stream", "off"}},
+		{"-leafports", []string{"-leafports", "8"}},
+		{"-leafports", []string{"-fabric", "hub", "-leafports", "2"}},
+		{"-leafports", []string{"-fabric", "fattree", "-leafports", "-1"}},
+		{"-size", []string{"-workload", "echo", "-size", "-5"}},
+		{"-reqs", []string{"-reqs", "0"}},
+		{"-conns", []string{"-workload", "churn", "-conns", "0"}},
+		{"-bytes", []string{"-workload", "bulk", "-bytes", "-1"}},
+	} {
+		err := run(tc.args, &bytes.Buffer{})
+		if err == nil {
+			t.Errorf("args %v accepted", tc.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
 		}
 	}
 }
@@ -224,25 +253,26 @@ func TestFaultsParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFanInLinkFlapsShardedBitIdentical pins the shard-safe fault
-// subset: a fan-in under seeded link flaps produces byte-identical JSON
-// serial and host-sharded, because each flap flips per-entity state on
-// the entity's owning shard from the host's own splitmix64 stream.
-func TestFanInLinkFlapsShardedBitIdentical(t *testing.T) {
-	jsonAt := func(shards string) string {
+// TestFanInLinkFlapsBitIdentical pins the link-flap fault schedule's
+// determinism: a fan-in under seeded flaps produces byte-identical JSON
+// on a repeat run and at any -parallel level, because every flap time
+// comes from the host's own splitmix64 stream and the base seed alone.
+func TestFanInLinkFlapsBitIdentical(t *testing.T) {
+	jsonAt := func(workers string) string {
 		var buf bytes.Buffer
 		err := run([]string{"-workload", "fanin", "-hosts", "9", "-reqs", "3",
-			"-faults", "2", "-seed", "5", "-json", "-shards", shards}, &buf)
+			"-faults", "2", "-trials", "3", "-seed", "5", "-json", "-parallel", workers}, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
 	}
-	serial := jsonAt("0")
-	for _, shards := range []string{"2", "4"} {
-		if sharded := jsonAt(shards); sharded != serial {
-			t.Fatalf("-shards %s: link-flap fan-in JSON diverged from serial", shards)
-		}
+	serial := jsonAt("1")
+	if again := jsonAt("1"); again != serial {
+		t.Fatal("link-flap fan-in JSON differs between two identical runs")
+	}
+	if parallel := jsonAt("4"); parallel != serial {
+		t.Fatal("link-flap fan-in JSON differs between -parallel 1 and 4")
 	}
 }
 
@@ -267,46 +297,26 @@ func TestGoldenJSONByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGoldenJSONShardedByteIdentical gates sharded execution against the
-// same golden hash as the serial path: -shards changes how the event
-// loop is driven, never what it computes, so the sharded run must
-// reproduce the PR 3 golden output to the byte.
-func TestGoldenJSONShardedByteIdentical(t *testing.T) {
-	for _, shards := range []string{"2", "4", "7"} {
-		var buf bytes.Buffer
-		args := []string{"-workload", "fanin", "-hosts", "9", "-reqs", "4",
-			"-seed", "1994", "-json", "-shards", shards}
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != goldenLoadSHA256 {
-			t.Errorf("-shards %s: output hash %s, want golden %s (sharded run diverged from serial)",
-				shards, got, goldenLoadSHA256)
-		}
-	}
-}
-
 // goldenRUDPSHA256 is the SHA-256 of the same 8-client fan-in JSON over
 // the reliable-UDP transport, captured when the transport landed and
 // re-captured when the header gained the AckNone flag (packets sent
 // before the first reception shrank to 3-byte headers).
 const goldenRUDPSHA256 = "33907662ee75ec430eff746f8f583ce8d9e0c7ebc84639fddcdc85403aff6976"
 
-// TestGoldenRUDPByteIdentical pins the rudp fan-in output byte for byte,
-// serial and host-sharded: the rival transport is as deterministic as
-// TCP, and sharding must not perturb it.
+// TestGoldenRUDPByteIdentical pins the rudp fan-in output byte for byte
+// at any -parallel level: the rival transport is as deterministic as
+// TCP.
 func TestGoldenRUDPByteIdentical(t *testing.T) {
-	for _, shards := range []string{"0", "2", "3"} {
+	for _, parallel := range []string{"1", "4"} {
 		var buf bytes.Buffer
 		args := []string{"-workload", "fanin", "-transport", "rudp",
-			"-hosts", "9", "-reqs", "4", "-seed", "1994", "-json", "-shards", shards}
+			"-hosts", "9", "-reqs", "4", "-seed", "1994", "-json", "-parallel", parallel}
 		if err := run(args, &buf); err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(buf.Bytes())
 		if got := hex.EncodeToString(sum[:]); got != goldenRUDPSHA256 {
-			t.Errorf("-shards %s: rudp output hash %s, want golden %s", shards, got, goldenRUDPSHA256)
+			t.Errorf("-parallel %s: rudp output hash %s, want golden %s", parallel, got, goldenRUDPSHA256)
 		}
 	}
 }

@@ -83,13 +83,6 @@ type Adapter struct {
 	cellOutFn func()
 	cellInFn  func()
 
-	// cut, when set, marks the far end of this host's fiber — its switch
-	// port — as living in another shard: PushTx stages each cell with the
-	// cluster coordinator (scheduleAt = engine completion, at = far-end
-	// arrival) instead of queueing it for local delivery, and cellOut
-	// keeps only the FIFO accounting. See Port.SetCut.
-	cut func(scheduleAt, at sim.Time, c Cell)
-
 	// SpaceAvail is woken each time the transmit engine drains a cell,
 	// unblocking a driver waiting for FIFO space.
 	SpaceAvail *sim.WaitQueue
@@ -206,29 +199,13 @@ func (a *Adapter) SetImpairments(p sim.GEParams, rate float64, depth int, seed u
 
 // cellOut fires when the transmit engine finishes clocking one cell into
 // the wire: free the FIFO slot, wake any driver blocked on space, and
-// start the cell's propagation across the fiber. When the fiber is cut
-// at a shard boundary the cell was already staged by PushTx, so only the
-// FIFO accounting remains.
+// start the cell's propagation across the fiber.
 func (a *Adapter) cellOut() {
 	a.txCount--
 	a.SpaceAvail.WakeAll()
-	if a.cut != nil {
-		return
-	}
 	a.flight.push(a.txFIFO.pop())
 	a.K.Env.After(a.K.Cost.ATMPropagation, "atm.cellin", a.cellInFn)
 }
-
-// SetCut diverts this adapter's transmit fiber across a shard boundary
-// (see Port.SetCut): staged times are exactly the wire events a serial
-// run would schedule, so the cut is invisible to simulated time.
-func (a *Adapter) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) {
-	a.cut = stage
-}
-
-// InjectCell delivers a cell that crossed a shard boundary into this
-// adapter as if it had just arrived over the fiber.
-func (a *Adapter) InjectCell(c Cell) { a.receive(c) }
 
 // cellIn fires when a cell's propagation delay elapses: deliver it to
 // the far end of the fiber.
@@ -274,13 +251,7 @@ func (a *Adapter) PushTx(c Cell) {
 	end := start + a.CellTime()
 	a.wireBusy = end
 	a.CellsSent++
-	if a.cut != nil {
-		// Far end lives in another shard: stage the delivery now with
-		// the serial run's wire times; cellOut keeps the accounting.
-		a.cut(end, end+a.K.Cost.ATMPropagation, c)
-	} else {
-		a.txFIFO.push(c)
-	}
+	a.txFIFO.push(c)
 	env.At(end, "atm.cellout", a.cellOutFn)
 }
 

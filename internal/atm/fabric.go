@@ -108,16 +108,7 @@ type Fabric struct {
 	// switch-table or VCI-allocator churn.
 	routes map[flowKey]*route
 
-	// plan and shardRoutes are set by NewShardedFabric: the shard wiring,
-	// and the route memory partitioned by the *source* host's shard so
-	// that concurrent shards never touch one map. setUps counts path
-	// installs per shard for the same reason.
-	plan        *ShardPlan
-	shardRoutes []map[flowKey]*route
-	setUps      []int64
-
 	// VCsSetUp and VCsTornDown count path installs and reclaims.
-	// (Serial fabrics only; sharded fabrics count installs in setUps.)
 	VCsSetUp    int64
 	VCsTornDown int64
 }
@@ -176,16 +167,7 @@ func (f *Fabric) NumHosts() int { return len(f.hosts) }
 
 // NumRoutes returns how many flow paths are currently installed — the
 // fabric-wide measure of active communication pairs.
-func (f *Fabric) NumRoutes() int {
-	if f.plan != nil {
-		n := 0
-		for _, rm := range f.shardRoutes {
-			n += len(rm)
-		}
-		return n
-	}
-	return len(f.routes)
-}
+func (f *Fabric) NumRoutes() int { return len(f.routes) }
 
 // TotalVCs sums the VC table entries across every switch in the fabric.
 func (f *Fabric) TotalVCs() int {
@@ -204,9 +186,6 @@ func (f *Fabric) Reset() {
 		leaf.Reset()
 	}
 	f.VCsSetUp, f.VCsTornDown = 0, 0
-	for s := range f.setUps {
-		f.setUps[s] = 0
-	}
 }
 
 // setup installs (or finds) the VC path from host src to the host owning
@@ -306,12 +285,8 @@ func (f *Fabric) HostPort(i int) *Port {
 // refunded — exactly as idle-VC reclamation would. Peers recover through
 // the same on-demand machinery: their next retransmission re-requests
 // the path via SetupVC and gets a fresh install once the port is
-// restored. Serial fabrics only; sharded runs reject non-shard-safe
-// fault kinds at scheduling.
+// restored.
 func (f *Fabric) FailHostPort(i int) {
-	if f.plan != nil {
-		panic(fmt.Sprintf("atm: FailHostPort(%d) on a sharded fabric", i))
-	}
 	f.HostPort(i).SetDown(true)
 	keys := make([]flowKey, 0, 8)
 	for k := range f.routes {
@@ -336,224 +311,4 @@ func (f *Fabric) FailHostPort(i int) {
 // reinstall on demand when traffic next flows.
 func (f *Fabric) RestoreHostPort(i int) {
 	f.HostPort(i).SetDown(false)
-}
-
-// CellDest is a shard-boundary delivery target — the far end of a cut
-// fiber. The cluster coordinator injects each staged cell into the
-// destination shard through it at the staged arrival time.
-type CellDest interface{ InjectCell(c Cell) }
-
-// ShardPlan wires a fabric across shard boundaries for deterministic
-// parallel execution (lab.Cluster). Fibers whose two ends land in
-// different shards are cut: the sending side stages each cell with the
-// coordinator instead of delivering it, and VC-table installs that touch
-// switches outside the calling host's shard are staged as control
-// mutations the coordinator applies at the next round barrier — before
-// any staged cell, and strictly before the first data cell of the flow
-// can cross the cut (the cut itself delays that cell by at least the
-// lookahead, so the install is always in place first).
-type ShardPlan struct {
-	// Envs[s] is shard s's event loop. Shard 0 also hosts the core
-	// switch (hub or spine).
-	Envs []*sim.Env
-	// HostShard[i] is the shard of host i. For a fat tree the partition
-	// must be leaf-aligned: every host of one leaf in one shard.
-	HostShard []int
-	// StageCell stages one cell crossing from srcShard to dstShard.
-	// scheduleAt is when the serial run would have created the arrival
-	// event (egress engine completion) — the coordinator's canonical
-	// ordering key — and at is the far-end arrival time.
-	StageCell func(srcShard, dstShard int, scheduleAt, at sim.Time, to CellDest, c Cell)
-	// StageCtl stages a control mutation for the coordinator to apply at
-	// the next round barrier, before any staged cell is injected.
-	StageCtl func(srcShard int, apply func())
-}
-
-// NewShardedFabric builds the same switches and routing view as
-// NewFabric, but spread across the plan's per-shard environments: the
-// core (hub or spine) lives in shard 0's environment, each fat-tree leaf
-// in its hosts' shard, and every fiber crossing a shard boundary is cut
-// (see ShardPlan). With one shard it degenerates to NewFabric exactly —
-// same switches, same wiring, no cuts.
-func NewShardedFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafPorts int, drvs []*Driver) *Fabric {
-	f := &Fabric{
-		Kind:   kind,
-		hosts:  make([]fabricHost, len(drvs)),
-		byAddr: make(map[uint32]int, len(drvs)),
-		plan:   plan,
-	}
-	f.shardRoutes = make([]map[flowKey]*route, len(plan.Envs))
-	for s := range f.shardRoutes {
-		f.shardRoutes[s] = make(map[flowKey]*route)
-	}
-	f.setUps = make([]int64, len(plan.Envs))
-	switch kind {
-	case FabricHub:
-		f.Core = NewSwitch(plan.Envs[0])
-		for i, d := range drvs {
-			port := f.Core.AttachPort(d.Adapter)
-			f.hosts[i] = fabricHost{drv: d, sw: f.Core, leaf: -1, port: port}
-			if s := plan.HostShard[i]; s != 0 {
-				cutHostLink(plan, s, d.Adapter, f.Core.ports[port])
-			}
-		}
-	case FabricFatTree:
-		if leafPorts <= 0 {
-			leafPorts = DefaultLeafPorts
-		}
-		f.Core = NewSwitch(plan.Envs[0])
-		nLeaves := (len(drvs) + leafPorts - 1) / leafPorts
-		f.Leaves = make([]*Switch, nLeaves)
-		f.leafUp = make([]int, nLeaves)
-		f.coreDown = make([]int, nLeaves)
-		for li := range f.Leaves {
-			ls := plan.HostShard[li*leafPorts]
-			leaf := NewSwitch(plan.Envs[ls])
-			f.Leaves[li] = leaf
-			for i := li * leafPorts; i < (li+1)*leafPorts && i < len(drvs); i++ {
-				if plan.HostShard[i] != ls {
-					panic(fmt.Sprintf("atm: host %d on leaf %d is in shard %d, leaf is in shard %d (partition must be leaf-aligned)",
-						i, li, plan.HostShard[i], ls))
-				}
-				port := leaf.AttachPort(drvs[i].Adapter)
-				f.hosts[i] = fabricHost{drv: drvs[i], sw: leaf, leaf: li, port: port}
-			}
-			f.leafUp[li], f.coreDown[li] = ConnectTrunk(leaf, f.Core, model)
-			if ls != 0 {
-				cutTrunk(plan, ls, leaf.ports[f.leafUp[li]], f.Core.ports[f.coreDown[li]])
-			}
-		}
-	default:
-		panic(fmt.Sprintf("atm: unknown fabric kind %d", int(kind)))
-	}
-	for i, d := range drvs {
-		i := i // pre-1.22 loop-variable capture
-		f.byAddr[d.IP.Addr] = i
-		d.SetupVC = func(dst uint32) (uint16, bool) { return f.setupSharded(i, dst) }
-		d.TeardownVC = func(dst uint32) { f.teardownSharded(i, dst) }
-	}
-	return f
-}
-
-// cutHostLink cuts the fiber between a host adapter (in shard s) and its
-// switch port (in shard 0) in both directions.
-func cutHostLink(plan *ShardPlan, s int, a *Adapter, p *Port) {
-	a.SetCut(func(scheduleAt, at sim.Time, c Cell) {
-		plan.StageCell(s, 0, scheduleAt, at, p, c)
-	})
-	p.SetCut(func(scheduleAt, at sim.Time, c Cell) {
-		plan.StageCell(0, s, scheduleAt, at, a, c)
-	})
-}
-
-// cutTrunk cuts the inter-switch fiber between a leaf's up port (in
-// shard s) and the spine's down port (in shard 0) in both directions.
-func cutTrunk(plan *ShardPlan, s int, up, down *Port) {
-	up.SetCut(func(scheduleAt, at sim.Time, c Cell) {
-		plan.StageCell(s, 0, scheduleAt, at, down, c)
-	})
-	down.SetCut(func(scheduleAt, at sim.Time, c Cell) {
-		plan.StageCell(0, s, scheduleAt, at, up, c)
-	})
-}
-
-// setupSharded is setup for a sharded fabric: the route memory is
-// partitioned by source shard, hops on switches inside the caller's
-// shard install immediately (exactly as serial setup would), and the
-// remainder of the path is staged for the coordinator to install at the
-// next round barrier. The staged install always lands before the flow's
-// first data cell can reach those switches: that cell must itself cross
-// a cut, which delays it past the barrier.
-//
-// Trunk VCIs allocated by the coordinator are deterministic — barrier
-// apply order is (shard, staging order), a pure function of the
-// simulation — but not necessarily the numbers a serial run would pick.
-// That is invisible: VCI values appear in no result, trace, or counter;
-// only the path shape and timing do, and those are identical.
-func (f *Fabric) setupSharded(src int, dstAddr uint32) (uint16, bool) {
-	dst, ok := f.byAddr[dstAddr]
-	if !ok || dst == src {
-		return 0, false
-	}
-	s := f.plan.HostShard[src]
-	rm := f.shardRoutes[s]
-	key := flowKey{src, dst}
-	if rt, ok := rm[key]; ok {
-		return rt.txVCI, true
-	}
-	hs, hd := &f.hosts[src], &f.hosts[dst]
-	rt := &route{
-		txVCI: DefaultVCI + uint16(dst),
-		rxVCI: DefaultVCI + uint16(src),
-	}
-	env := f.plan.Envs[s]
-	if hs.sw == hd.sw {
-		// Same switch (hub, or two hosts on one leaf): a single entry,
-		// staged only when that switch lives in another shard.
-		if hs.sw.env == env {
-			hs.sw.AddVC(hs.port, rt.txVCI, hd.port, rt.rxVCI)
-		} else {
-			sw, in, inVCI, out, outVCI := hs.sw, hs.port, rt.txVCI, hd.port, rt.rxVCI
-			f.plan.StageCtl(s, func() { sw.AddVC(in, inVCI, out, outVCI) })
-		}
-		rt.hops = []hop{{sw: hs.sw, port: hs.port, vci: rt.txVCI}}
-	} else {
-		// Cross-leaf. The source leaf always lives in the caller's shard
-		// (leaf-aligned partition), so the first hop — and the up-trunk
-		// VCI the first data cell must carry — installs immediately.
-		up, down := f.leafUp[hs.leaf], f.coreDown[hd.leaf]
-		upAlloc := hs.sw.ports[up].vci
-		downAlloc := f.Core.ports[down].vci
-		v1 := upAlloc.get()
-		hs.sw.AddVC(hs.port, rt.txVCI, up, v1)
-		rt.hops = []hop{{sw: hs.sw, port: hs.port, vci: rt.txVCI}}
-		coreIn, leafIn := f.coreDown[hs.leaf], f.leafUp[hd.leaf]
-		// A hop may wait for the barrier only when its switch sits behind
-		// a cut from the caller — then the flow's first data cell, which
-		// must cross that same cut, cannot beat the install. A hop inside
-		// the caller's shard is reachable within the current window, so it
-		// must install now, exactly as serial setup would; deferring it
-		// drops the first cells as unrouted and diverges from serial.
-		if f.Core.env == env {
-			// Shard-0 source: the spine is in this shard, install it now.
-			v2 := downAlloc.get()
-			f.Core.AddVC(coreIn, v1, down, v2)
-			rt.hops = append(rt.hops, hop{sw: f.Core, port: coreIn, vci: v1, alloc: upAlloc})
-			if hd.sw.env == env {
-				hd.sw.AddVC(leafIn, v2, hd.port, rt.rxVCI)
-				rt.hops = append(rt.hops, hop{sw: hd.sw, port: leafIn, vci: v2, alloc: downAlloc})
-			} else {
-				dleaf, dport, rx := hd.sw, hd.port, rt.rxVCI
-				f.plan.StageCtl(s, func() {
-					dleaf.AddVC(leafIn, v2, dport, rx)
-					rt.hops = append(rt.hops, hop{sw: dleaf, port: leafIn, vci: v2, alloc: downAlloc})
-				})
-			}
-		} else {
-			// The spine is behind the caller's trunk cut, and every cell
-			// toward the destination leaf passes through it first — so the
-			// whole remainder can wait for the barrier, even when the
-			// destination leaf shares the caller's shard.
-			core, dleaf, dport, rx := f.Core, hd.sw, hd.port, rt.rxVCI
-			f.plan.StageCtl(s, func() {
-				v2 := downAlloc.get()
-				core.AddVC(coreIn, v1, down, v2)
-				dleaf.AddVC(leafIn, v2, dport, rx)
-				rt.hops = append(rt.hops,
-					hop{sw: core, port: coreIn, vci: v1, alloc: upAlloc},
-					hop{sw: dleaf, port: leafIn, vci: v2, alloc: downAlloc})
-			})
-		}
-	}
-	rm[key] = rt
-	f.setUps[s]++
-	return rt.txVCI, true
-}
-
-// teardownSharded rejects VC reclamation in sharded runs. Teardown only
-// fires under Driver.TxVCLimit, which no sharded workload sets: tearing
-// a path down at a barrier boundary would unroute cells the serial run
-// delivered, breaking bit-identity, so it fails loudly instead.
-func (f *Fabric) teardownSharded(src int, dstAddr uint32) {
-	panic(fmt.Sprintf("atm: host %d tore down its VC to %08x in a sharded run; TxVCLimit must stay 0 under sharding", src, dstAddr))
 }

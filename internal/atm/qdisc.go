@@ -16,7 +16,7 @@ import (
 // Disciplines must be deterministic: any randomness (RED's drop lottery)
 // comes from a private RNG seeded at construction, never from the
 // simulation environment's stream, so installing a qdisc perturbs no
-// other random draw and sharded runs stay bit-identical to serial.
+// other random draw.
 type Qdisc interface {
 	// Enqueue offers a cell routed to this port; flow is the cell's
 	// egress VCI, the flow key of VC-switched traffic. It returns false

@@ -127,15 +127,6 @@ type Port struct {
 	outFn  func()
 	inFn   func()
 
-	// cut, when set, marks the far end of this fiber as living in another
-	// shard: instead of queueing the cell locally and scheduling its
-	// arrival, forward hands it to the cluster coordinator with the two
-	// wire times serial execution would have used (scheduleAt = egress
-	// engine completion, at = far-end arrival), and the local cellout
-	// event — cutFn, bound by SetCut — only releases the queue slot.
-	cut   func(scheduleAt, at sim.Time, c Cell)
-	cutFn func()
-
 	// qd, when installed, replaces the built-in drop-tail depth with a
 	// pluggable queue discipline. The qdisc path separates the fabric
 	// pipeline (fixed Latency, modeled by the pre queue and qdInFn event)
@@ -208,11 +199,7 @@ func (p *Port) qdIn() {
 }
 
 // qdKick starts transmitting the discipline's next cell if the link is
-// idle and the queue non-empty. On a cut port the delivery is staged
-// with the coordinator here, at commit time — arrival is one cell
-// serialization plus propagation away, exactly the cluster's lookahead
-// floor, so deferring the stage to transmission completion (as the
-// local path may) would under-run the conservative horizon.
+// idle and the queue non-empty.
 func (p *Port) qdKick() {
 	if p.qdServing {
 		return
@@ -229,25 +216,17 @@ func (p *Port) qdKick() {
 	}
 	end := start + cost.WireTime(CellSize, p.bits)
 	p.busy = end
-	if p.cut != nil {
-		p.cut(end, end+p.prop, c)
-	} else {
-		p.egress.push(c)
-	}
+	p.egress.push(c)
 	env.At(end, "atmsw.cellout", p.qdOutFn)
 }
 
 // qdCellOut fires when the link finishes clocking a qdisc-scheduled cell
-// onto the fiber: release the slot, deliver (cut ports already staged at
-// commit time), and start the next cell.
+// onto the fiber: release the slot, deliver, and start the next cell.
 func (p *Port) qdCellOut() {
 	p.qdServing = false
 	p.queued--
-	if p.cut == nil {
-		c := p.egress.pop()
-		p.flight.push(c)
-		p.sw.env.After(p.prop, "atmsw.cellin", p.inFn)
-	}
+	p.flight.push(p.egress.pop())
+	p.sw.env.After(p.prop, "atmsw.cellin", p.inFn)
 	p.qdKick()
 }
 
@@ -278,23 +257,6 @@ func ConnectTrunk(a, b *Switch, model *cost.Model) (aPort, bPort int) {
 	pa.vci, pb.vci = &vciAlloc{}, &vciAlloc{}
 	return pa.index, pb.index
 }
-
-// SetCut diverts this port's egress across a shard boundary: every cell
-// forwarded out of it is staged with the cluster coordinator instead of
-// being delivered locally. The egress pacing, queue accounting, and
-// counters are untouched — only the delivery leg moves — so the staged
-// (scheduleAt, at) times are exactly the event times a serial run would
-// have scheduled.
-func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) {
-	p.cut = stage
-	p.cutFn = func() { p.queued-- }
-}
-
-// InjectCell delivers a cell that crossed a shard boundary into this
-// port as if it had just arrived over the fiber. The cluster coordinator
-// schedules the injection in this switch's environment at the staged
-// arrival time, mirroring the peer's cellIn.
-func (p *Port) InjectCell(c Cell) { p.sw.forward(p, c) }
 
 // cellOut fires when the egress link finishes clocking one cell onto the
 // port's fiber: release the queue slot and start the propagation delay.
@@ -387,13 +349,6 @@ func (sw *Switch) forward(from *Port, c Cell) {
 	out.busy = end
 	out.queued++
 	sw.CellsSwitched++
-	if out.cut != nil {
-		// Far end lives in another shard: stage the delivery with the
-		// coordinator and keep only the queue-slot release local.
-		out.cut(end, end+out.prop, c)
-		env.At(end, "atmsw.cellout", out.cutFn)
-		return
-	}
 	out.egress.push(c)
 	env.At(end, "atmsw.cellout", out.outFn)
 }

@@ -19,9 +19,7 @@ import (
 // faultState is the lab's per-entity outage bookkeeping. Down flags are
 // reference-counted so overlapping outages of one entity (two flap
 // windows that intersect) restore the link only when the LAST outage
-// lifts. The adapter counts are only ever touched from the owning
-// host's event loop and the port counts from the port-owning switch's
-// loop, so sharded link flips stay race-free without locks.
+// lifts.
 type faultState struct {
 	adapterRefs []int
 	portRefs    []int
@@ -59,13 +57,8 @@ func (l *Lab) OnHostRestart(i int, fn func()) {
 }
 
 // ScheduleFaults validates the schedule against the topology and
-// schedules every event on the lab's event loop. Serial labs accept
-// every fault kind; a sharded cluster's hosts live on other event
-// loops, so a cluster schedules through Cluster.ScheduleFaults instead.
+// schedules every event on the lab's event loop.
 func (l *Lab) ScheduleFaults(s sim.FaultSchedule) error {
-	if l.ownerShards > 1 {
-		return fmt.Errorf("lab: testbed is sharded %d ways; schedule faults through Cluster.ScheduleFaults", l.ownerShards)
-	}
 	if err := s.Validate(len(l.Hosts)); err != nil {
 		return err
 	}
@@ -161,38 +154,29 @@ func (l *Lab) flipPort(i int, down bool) {
 	l.Fabric.HostPort(i).SetDown(fs.portRefs[i] > 0)
 }
 
-// ArmWatchdog installs a no-progress watchdog on every event loop the
-// lab's hosts run on (one loop serial, one per shard under a cluster)
+// ArmWatchdog installs a no-progress watchdog on the lab's event loop
 // and returns it so the workload can report progress. A zero horizon
 // selects sim.DefaultWatchdogHorizon. The diagnostic built at fire time
-// names the stuck connections the firing loop can see.
+// names the stuck connections.
 func (l *Lab) ArmWatchdog(horizon sim.Time) *sim.Watchdog {
 	w := sim.NewWatchdog(horizon)
 	w.OnFire(l.watchdogDiag)
 	l.Env.SetWatchdog(w)
-	for _, h := range l.Hosts {
-		h.Kern.Env.SetWatchdog(w)
-	}
 	l.wd = w
 	return w
 }
 
 // watchdogDiag builds the watchdog's abort diagnostic: a histogram of
 // the stalled loop's pending events (a livelock is typically thousands
-// of copies of the same timer) plus every non-closed TCP connection on
-// the hosts that loop owns, with its state and retransmission backoff —
-// the "who is stuck" a hang never reports. Only hosts on the firing
-// loop are walked: under sharded execution other shards' state is still
-// being mutated by their own goroutines.
+// of copies of the same timer) plus every non-closed TCP connection,
+// with its state and retransmission backoff — the "who is stuck" a hang
+// never reports.
 func (l *Lab) watchdogDiag(e *sim.Env) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "\n  pending events: %s", e.PendingSummary(8))
 	const maxConns = 16
 	listed, stuck := 0, 0
 	for i, h := range l.Hosts {
-		if h.Kern.Env != e {
-			continue
-		}
 		for _, ent := range h.TCP.Table.Entries() {
 			c, ok := ent.Owner.(*tcp.Conn)
 			if !ok || c.State() == tcp.StateClosed {
@@ -221,49 +205,3 @@ func (l *Lab) watchdogDiag(e *sim.Env) string {
 
 // Watchdog returns the armed watchdog, or nil.
 func (l *Lab) Watchdog() *sim.Watchdog { return l.wd }
-
-// ScheduleFaults installs a fault schedule on a sharded cluster. Only
-// the shard-safe kinds (link flips) are accepted: port failures and
-// host crashes mutate routed-fabric and stack state across shard
-// boundaries. Each host's adapter flip is scheduled on the loop that
-// owns the host; the matching switch-port flip on the loop that owns
-// the port (the core's shard for a hub, the host's own shard for a
-// fat-tree leaf), so every mutation happens on the goroutine that
-// already owns the entity.
-func (c *Cluster) ScheduleFaults(s sim.FaultSchedule) error {
-	if len(c.Shards) == 1 {
-		return c.Lab.ScheduleFaults(s)
-	}
-	if !s.ShardSafe() {
-		return fmt.Errorf("lab: sharded execution accepts only link-flip faults; port failures and host crashes mutate cross-shard state")
-	}
-	l := c.Lab
-	if err := s.Validate(len(l.Hosts)); err != nil {
-		return err
-	}
-	l.faults()
-	for _, ev := range s {
-		ev := ev
-		down := ev.Kind == sim.FaultLinkDown
-		c.EnvOf(ev.Host).At(ev.At, "fault."+ev.Kind.String(),
-			func() { l.flipAdapter(ev.Host, down) })
-		c.portEnv(ev.Host).At(ev.At, "fault.port."+ev.Kind.String(),
-			func() { l.flipPort(ev.Host, down) })
-	}
-	return nil
-}
-
-// portEnv returns the event loop owning host i's switch access port: a
-// fat-tree host's port is on its leaf (the host's own shard); a hub
-// host's port is on the core, which always lives in shard 0.
-func (c *Cluster) portEnv(i int) *sim.Env {
-	if c.Lab.Config.Fabric == FabricFatTree {
-		return c.EnvOf(i)
-	}
-	return c.Shards[0].Env
-}
-
-// ArmWatchdog arms one shared watchdog across every shard's event loop.
-func (c *Cluster) ArmWatchdog(horizon sim.Time) *sim.Watchdog {
-	return c.Lab.ArmWatchdog(horizon)
-}

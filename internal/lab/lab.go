@@ -10,6 +10,7 @@
 package lab
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -78,21 +79,20 @@ type Config struct {
 	// every host's receive path — correlated losses that kill several
 	// cells of one AAL frame at once, unlike the independent drops of
 	// CellLossRate. Each host's chain has a private RNG derived from
-	// Seed, so enabling it perturbs no other random draw. Serial only:
-	// sharded execution rejects it like the other fault knobs.
+	// Seed, so enabling it perturbs no other random draw.
 	BurstLoss sim.GEParams
 	// ReorderRate holds each arriving ATM cell back past the next
 	// ReorderDepth deliveries with this probability — bounded cell
 	// reordering, which AAL3/4 sequence checking converts into frame
-	// loss. Zero depth means 1. Serial only, like BurstLoss. Ignored on
-	// Ethernet (frames are not split into cells).
+	// loss. Zero depth means 1. Ignored on Ethernet (frames are not split
+	// into cells).
 	ReorderRate  float64
 	ReorderDepth int
 	// Qdisc installs a queue discipline on every switch egress port of a
 	// routed ATM fabric (3+ hosts): drop-tail, RED, or per-VCI deficit
 	// round robin. Ignored for Ethernet and the two-host switchless
 	// fiber, which have no switch ports. Disciplines draw only private
-	// per-port RNGs, so qdisc configurations stay shardable.
+	// per-port RNGs, so a qdisc perturbs no other random draw.
 	Qdisc QdiscConfig
 	// MTU, when positive, lowers the MTU the link's driver advertises to
 	// IP (and so the MSS TCP negotiates) below the link default — a
@@ -177,18 +177,6 @@ type Lab struct {
 	// Fabric is the routed multi-switch topology behind Switch; nil for
 	// Ethernet and the two-host fiber.
 	Fabric *atm.Fabric
-
-	// ownerShards is nonzero when this lab's hosts are spread across the
-	// event loops of a multi-shard Cluster, which then owns resetting it.
-	ownerShards int
-	// flipLocal, when set (by Cluster.RunEcho), replaces setTracing's
-	// all-host sweep: a sharded echo client may only flip recorders in
-	// its own shard mid-round.
-	flipLocal func(on bool)
-	// eventsSince, when nonzero, filters PacketEvents to events at or
-	// after it — the sharded echo run's substitute for flipping remote
-	// recorders on exactly at the warmup boundary.
-	eventsSince sim.Time
 
 	// faultState is the fault tier's outage bookkeeping (fault.go),
 	// allocated on first use; nil on the unfaulted hot path.
@@ -312,11 +300,6 @@ func NewTopology(cfg Config, nHosts int) *Lab {
 // pages, failing loudly rather than letting a leaked chain ride into
 // later trials.
 func (l *Lab) Reset(cfg Config, seed uint64) error {
-	if l.ownerShards > 1 {
-		// Resetting only shard 0's event loop would leave the other
-		// shards' clocks and RNGs mid-trial — silently divergent state.
-		return fmt.Errorf("lab: testbed is sharded %d ways; reset it through Cluster.Reset", l.ownerShards)
-	}
 	if seed != 0 {
 		cfg.Seed = seed
 	}
@@ -367,7 +350,6 @@ func (l *Lab) Reset(cfg Config, seed uint64) error {
 		l.Segment.Reset()
 	}
 	applyImpairments(l, cfg)
-	l.eventsSince = 0
 	l.faultState = nil // outage refcounts and hooks are per-trial
 	l.wd = nil
 	l.Config = cfg
@@ -743,7 +725,7 @@ func (f *echoClientFrame) Step(p *sim.Proc) {
 			if f.i >= f.warmup {
 				f.res.RTTs = append(f.res.RTTs, f.w.ReadReturn-f.w.WriteStart)
 				f.res.Windows = append(f.res.Windows, f.w)
-				if !bytesEqual(f.buf, f.msg) {
+				if !bytes.Equal(f.buf, f.msg) {
 					f.res.CorruptEchoes++
 				}
 			}
@@ -887,7 +869,7 @@ func (f *udpEchoClientFrame) Step(p *sim.Proc) {
 			if f.i >= f.warmup {
 				f.res.RTTs = append(f.res.RTTs, f.w.ReadReturn-f.w.WriteStart)
 				f.res.Windows = append(f.res.Windows, f.w)
-				if !bytesEqual(f.recv.D.Data, f.msg) {
+				if !bytes.Equal(f.recv.D.Data, f.msg) {
 					f.res.CorruptEchoes++
 				}
 			}
@@ -925,25 +907,9 @@ func (l *Lab) RunUDPEcho(size, iterations, warmup int) (*EchoResult, error) {
 	return res, nil
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (l *Lab) tracing() bool { return l.Client.Kern.Trace.Enabled() }
 
 func (l *Lab) setTracing(on bool) {
-	if l.flipLocal != nil {
-		l.flipLocal(on)
-		return
-	}
 	for _, h := range l.Hosts {
 		if on {
 			h.Kern.Trace.Enable()
@@ -972,19 +938,5 @@ func (l *Lab) PacketEvents() []trace.HostEvent {
 		names[i] = h.Kern.Name
 		recs[i] = h.Kern.Trace
 	}
-	evs := trace.MergeEvents(names, recs)
-	if l.eventsSince > 0 {
-		// Sharded echo run: hosts outside the client's shard recorded
-		// from time zero (they cannot be flipped mid-round); drop what
-		// the serial benchmark would never have recorded.
-		k := 0
-		for _, ev := range evs {
-			if ev.At >= l.eventsSince {
-				evs[k] = ev
-				k++
-			}
-		}
-		evs = evs[:k]
-	}
-	return evs
+	return trace.MergeEvents(names, recs)
 }

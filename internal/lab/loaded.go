@@ -145,13 +145,3 @@ func applyImpairments(l *Lab, cfg Config) {
 		}
 	}
 }
-
-// impaired reports whether the configuration enables any stochastic
-// link impairment beyond the legacy fault knobs — the gate sharded
-// execution checks (burst loss and reordering draw per-host streams,
-// but the reorder hold-back interacts with cut staging, and fault
-// studies compare serial runs only, so shards reject them like the
-// other fault knobs).
-func (c Config) impaired() bool {
-	return c.BurstLoss.Enabled() || c.ReorderRate > 0
-}

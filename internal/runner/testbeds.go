@@ -43,23 +43,9 @@ const maxWarmLabs = 4
 type Testbeds struct {
 	labs map[topoKey]*lab.Lab
 
-	// clusters caches sharded testbeds separately, keyed by shape AND
-	// shard count: a 4-shard cluster and a serial lab of the same shape
-	// are different machines (hosts live on different event loops), so
-	// they must never satisfy each other's acquisitions. lab.Lab.Reset
-	// backstops this — it rejects any lab owned by a multi-shard cluster.
-	clusters map[clusterKey]*lab.Cluster
-
 	// Built and Reused count cache misses and hits, for the reuse tests.
 	Built  int
 	Reused int
-}
-
-// clusterKey is a sharded testbed's shape: the serial shape plus the
-// requested shard count.
-type clusterKey struct {
-	topoKey
-	shards int
 }
 
 // Lab returns a testbed for cfg with nHosts hosts (values below 2 are
@@ -103,47 +89,4 @@ func (tb *Testbeds) Lab(cfg lab.Config, nHosts int) *lab.Lab {
 		tb.labs[key] = l
 	}
 	return l
-}
-
-// Cluster returns a sharded testbed for cfg, reusing a warm cluster of
-// the same shape and shard count when the worker holds one. The reuse
-// contract matches Lab: Cluster.Reset rewinds every shard's event loop,
-// RNG, and host state to what a fresh NewCluster would hold, and its own
-// tests pin fresh-vs-reused bit-identity. Construction and reset errors
-// propagate — the caller fails the trial rather than silently degrading
-// to serial.
-func (tb *Testbeds) Cluster(cfg lab.Config, nHosts, shards int) (*lab.Cluster, error) {
-	if nHosts < 2 {
-		nHosts = 2
-	}
-	if tb == nil {
-		return lab.NewCluster(cfg, nHosts, shards)
-	}
-	key := clusterKey{
-		topoKey: topoKey{link: cfg.Link, hosts: nHosts, fabric: cfg.Fabric, leafPorts: cfg.LeafPorts},
-		shards:  shards,
-	}
-	if c := tb.clusters[key]; c != nil {
-		err := c.Reset(cfg, 0)
-		if err == nil {
-			tb.Reused++
-			return c, nil
-		}
-		if errors.Is(err, lab.ErrPoolLeak) {
-			panic(err)
-		}
-		delete(tb.clusters, key)
-	}
-	c, err := lab.NewCluster(cfg, nHosts, shards)
-	if err != nil {
-		return nil, err
-	}
-	tb.Built++
-	if tb.clusters == nil {
-		tb.clusters = make(map[clusterKey]*lab.Cluster, maxWarmLabs)
-	}
-	if len(tb.clusters) < maxWarmLabs {
-		tb.clusters[key] = c
-	}
-	return c, nil
 }

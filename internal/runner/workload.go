@@ -18,11 +18,6 @@ type WorkloadTrial struct {
 	// raised to 2.
 	Hosts int
 	Gen   workload.Generator
-	// Shards selects deterministic host-sharded execution: values above 1
-	// run the trial on a lab.Cluster with that many worker shards, which
-	// is bit-identical to the serial run by contract. Zero or one runs
-	// serially.
-	Shards int
 }
 
 // WorkloadOutcome is the aggregated result of one workload trial, with
@@ -99,21 +94,9 @@ func (t WorkloadTrial) hosts() int {
 }
 
 // runWorkloadTrial acquires the trial's topology — warm from the
-// worker's cache when the shape matches — and runs the generator,
-// sharded across a cluster's event loops when the trial asks for it.
+// worker's cache when the shape matches — and runs the generator.
 func runWorkloadTrial(tb *Testbeds, t WorkloadTrial, seed uint64) (any, error) {
-	var r *workload.Result
-	var err error
-	if t.Shards > 1 {
-		var c *lab.Cluster
-		c, err = tb.Cluster(ApplySeed(t.Cfg, seed), t.hosts(), t.Shards)
-		if err != nil {
-			return nil, err
-		}
-		r, err = workload.RunSharded(t.Gen, c)
-	} else {
-		r, err = t.Gen.Run(tb.Lab(ApplySeed(t.Cfg, seed), t.hosts()))
-	}
+	r, err := t.Gen.Run(tb.Lab(ApplySeed(t.Cfg, seed), t.hosts()))
 	if err != nil {
 		return nil, err
 	}

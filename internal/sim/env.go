@@ -110,19 +110,10 @@ type Env struct {
 	procs   int   // live (unfinished) procs
 	rng     *RNG
 
-	// horizon bounds how far this environment may advance on its own:
-	// RunWindow executes only events strictly before it, and SleepUntil's
-	// in-place fast path refuses to move the clock to or past it. A
-	// stand-alone environment keeps the horizon at MaxTime, which makes
-	// both restrictions vacuous; sharded execution (lab.Cluster) lowers it
-	// to the conservative-lookahead safe time each round, so events that
-	// a cross-shard message could still precede stay pending.
-	horizon Time
-
 	// wd, when non-nil, is the no-progress watchdog polled by Step. The
 	// disarmed cost is one pointer comparison per event; armed, the poll
 	// runs only when the clock reaches wdNext, so the per-event cost stays
-	// one extra Time comparison. Cluster shards may share one Watchdog.
+	// one extra Time comparison.
 	wd     *Watchdog
 	wdNext Time
 }
@@ -130,7 +121,7 @@ type Env struct {
 // NewEnv returns a fresh simulation environment with its clock at zero
 // and a deterministic default random seed.
 func NewEnv() *Env {
-	return &Env{rng: NewRNG(1), horizon: MaxTime}
+	return &Env{rng: NewRNG(1)}
 }
 
 // Now returns the current virtual time.
@@ -153,7 +144,6 @@ func (e *Env) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.rng = NewRNG(1)
-	e.horizon = MaxTime
 	e.wd = nil
 	e.wdNext = 0
 }
@@ -212,7 +202,7 @@ func (e *Env) AfterArg(d Time, name string, fn func(uint64), arg uint64) {
 // Step runs the next pending event, advancing the clock to its timestamp.
 // It reports whether an event was run. With a watchdog armed, Step
 // refuses to run further events once the watchdog fires, so every run
-// loop built on Step (Run, RunUntil, RunWindow) stops instead of
+// loop built on Step (Run, RunUntil) stops instead of
 // executing a livelocked simulation forever.
 func (e *Env) Step() bool {
 	if len(e.events) == 0 {
@@ -256,41 +246,7 @@ func (e *Env) RunUntil(deadline Time) {
 // Pending returns the number of scheduled events not yet run.
 func (e *Env) Pending() int { return len(e.events) }
 
-// SetHorizon sets the safe-time bound for windowed execution: RunWindow
-// stops before the first event at or past t, and SleepUntil's in-place
-// fast path parks instead of advancing the clock to or past t. MaxTime
-// (the default) disables the bound.
-func (e *Env) SetHorizon(t Time) { e.horizon = t }
-
-// Horizon returns the current safe-time bound.
-func (e *Env) Horizon() Time { return e.horizon }
-
-// NextEventAt returns the timestamp of the earliest pending event, and
-// whether one exists. Sharded execution uses it to compute each round's
-// global minimum next-event time without popping anything.
-func (e *Env) NextEventAt() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
-}
-
-// RunWindow processes every pending event with a timestamp strictly
-// before the horizon, leaving later events pending. Unlike RunUntil it
-// does not advance the clock to the bound afterwards: a cross-shard
-// message may still arrive anywhere in [now, horizon), so the clock must
-// stay where the last executed event left it.
-func (e *Env) RunWindow() {
-	for len(e.events) > 0 && e.events[0].at < e.horizon {
-		if !e.Step() {
-			return // watchdog fired: the coordinator surfaces the abort
-		}
-	}
-}
-
-// SetWatchdog arms the no-progress watchdog (nil disarms). Sharded
-// execution arms every shard's environment with the same Watchdog, whose
-// internal lock makes the shared state safe across worker goroutines.
+// SetWatchdog arms the no-progress watchdog (nil disarms).
 func (e *Env) SetWatchdog(w *Watchdog) {
 	e.wd = w
 	e.wdNext = 0

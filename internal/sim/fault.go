@@ -5,11 +5,8 @@ import (
 	"sort"
 )
 
-// FaultKind names one deterministic fault-injection action. Link flips
-// are the shard-safe subset: they flip per-entity down flags read only
-// by the entity's owning shard, so a schedule of flips runs bit-identical
-// serial and host-sharded. Port failures and host crashes mutate shared
-// fabric and stack state and are applied to serial runs only.
+// FaultKind names one deterministic fault-injection action: a link flip,
+// a switch-port failure, or a host crash or restart.
 type FaultKind uint8
 
 const (
@@ -50,12 +47,6 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("fault(%d)", uint8(k))
 }
 
-// ShardSafe reports whether the kind may run under host-sharded
-// execution.
-func (k FaultKind) ShardSafe() bool {
-	return k == FaultLinkDown || k == FaultLinkUp
-}
-
 // FaultEvent is one scheduled one-shot fault: at virtual time At, apply
 // Kind to Host's entity (its access link, switch port, or stack).
 type FaultEvent struct {
@@ -67,8 +58,8 @@ type FaultEvent struct {
 // FaultSchedule is a deterministic fault-injection plan: a set of timed
 // one-shot events applied to a topology at the start of a run. The
 // schedule is plain data — it draws nothing from the simulation's serial
-// RNG stream, so an identical schedule replays identically at any shard
-// count (for the shard-safe kinds) and perturbs no other random draw.
+// RNG stream, so an identical schedule replays identically and perturbs
+// no other random draw.
 type FaultSchedule []FaultEvent
 
 // Validate checks every event targets a host in [0, hosts) at a
@@ -85,17 +76,6 @@ func (s FaultSchedule) Validate(hosts int) error {
 	return nil
 }
 
-// ShardSafe reports whether every event in the schedule may run
-// host-sharded.
-func (s FaultSchedule) ShardSafe() bool {
-	for _, ev := range s {
-		if !ev.Kind.ShardSafe() {
-			return false
-		}
-	}
-	return true
-}
-
 // CrashSchedule is the canonical recovery-study plan: host crashes at
 // `at` and restarts after `downtime`.
 func CrashSchedule(host int, at, downtime Time) FaultSchedule {
@@ -109,8 +89,8 @@ func CrashSchedule(host int, at, downtime Time) FaultSchedule {
 // seed with a splitmix64 finalizer — the same per-entity stream
 // construction the qdisc and impairment layers use, and for the same
 // reason: draws for one entity never consume another entity's stream or
-// the shared serial stream, so the schedule is shard-compatible and
-// adding an entity leaves every other entity's draws unchanged.
+// the shared serial stream, so adding an entity leaves every other
+// entity's draws unchanged.
 func faultStreamSeed(base uint64, h int) uint64 {
 	z := base + 0x9E3779B97F4A7C15*(uint64(h)+0x5EED_FA01)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -118,11 +98,10 @@ func faultStreamSeed(base uint64, h int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// LinkFlaps builds a shard-safe schedule of random link flaps: each
-// listed host flaps `flaps` times, with down times drawn uniformly over
-// [0, window) from the host's own splitmix64-derived stream and each
-// outage lasting `downtime`. Same base seed, same hosts ⇒ same schedule,
-// at any shard count.
+// LinkFlaps builds a schedule of random link flaps: each listed host
+// flaps `flaps` times, with down times drawn uniformly over [0, window)
+// from the host's own splitmix64-derived stream and each outage lasting
+// `downtime`. Same base seed, same hosts ⇒ same schedule.
 func LinkFlaps(base uint64, hosts []int, flaps int, window, downtime Time) FaultSchedule {
 	var s FaultSchedule
 	for _, h := range hosts {
@@ -191,9 +170,7 @@ func (p GEParams) StationaryLoss() float64 {
 // GEChain is the running state of one link's Gilbert–Elliott chain. It
 // draws from its own RNG — seeded per link, never the simulation
 // environment's stream — so enabling burst loss on one link perturbs no
-// other random draw and runs stay bit-reproducible. (Sharded execution
-// still rejects burst-loss configurations at construction, like the
-// other fault knobs, so fault studies compare serial runs only.)
+// other random draw and runs stay bit-reproducible.
 type GEChain struct {
 	P    GEParams
 	seed uint64

@@ -173,13 +173,7 @@ func (p *Proc) SleepUntil(t Time) bool {
 	if t <= e.now {
 		return true
 	}
-	// The fast path additionally requires t to lie inside the safe-time
-	// horizon: in a sharded run, a cross-shard message may still be
-	// delivered anywhere in [now, horizon∞), so advancing the clock past
-	// the horizon in place could jump over an arrival. Parking instead
-	// adds one wake event, which shifts later sequence numbers uniformly —
-	// every tie-break, and therefore simulated time, is unchanged.
-	if e.current == p && t < e.horizon && (len(e.events) == 0 || e.events[0].at > t) {
+	if e.current == p && (len(e.events) == 0 || e.events[0].at > t) {
 		e.now = t
 		return true
 	}

@@ -1040,7 +1040,7 @@ func TestRexmtGiveUpAfterPeerVanishes(t *testing.T) {
 		t.Errorf("socket error %v, want ErrTimeout", clientConn.Socket().Err)
 	}
 	_ = send
-	if _, ok := p.env.NextEventAt(); ok {
+	if p.env.Pending() != 0 {
 		t.Error("events still pending after the connection gave up")
 	}
 }

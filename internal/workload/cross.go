@@ -9,8 +9,7 @@
 // size is a pure function of (Seed, flow, transfer) through a splitmix
 // hash — no draw touches any environment RNG stream — and each flow
 // runs a fixed number of transfers, so cross traffic neither perturbs
-// the measured workload's random draws nor needs a stop flag a sharded
-// run couldn't share.
+// the measured workload's random draws nor needs a stop flag.
 package workload
 
 import (
@@ -100,9 +99,10 @@ func (ct CrossTraffic) SizeOf(f, k int) int {
 // flowHost maps flow f to the client host index it originates on.
 func (ct CrossTraffic) flowHost(f, clients int) int { return 1 + f%clients }
 
-// spawnSink starts the cross-traffic sink on host 0: a listener on
-// CrossPort whose accept loop drains every background connection to EOF.
-func (ct CrossTraffic) spawnSink(l *lab.Lab, fail func(error)) error {
+// spawn arms the whole background load: the sink on host 0 — a listener
+// on CrossPort whose accept loop drains every background connection to
+// EOF — plus every flow, all on the lab's event loop.
+func (ct CrossTraffic) spawn(l *lab.Lab, fail func(error)) error {
 	c := ct.withDefaults()
 	ln, err := l.Hosts[0].TCP.Listen(CrossPort)
 	if err != nil {
@@ -116,28 +116,11 @@ func (ct CrossTraffic) spawnSink(l *lab.Lab, fail func(error)) error {
 			return true
 		},
 	})
-	return nil
-}
-
-// spawnFlow starts background flow f on env (the owning shard's loop in
-// a sharded run, the lab's only loop serially).
-func (ct CrossTraffic) spawnFlow(env *sim.Env, host *lab.Host, f int, fail func(error)) {
-	c := ct.withDefaults()
-	env.Spawn(fmt.Sprintf("cross.flow%d", f), &crossFlowFrame{
-		host: host, ct: c, f: f, fail: fail,
-	})
-}
-
-// spawn arms the whole background load on a serial lab: the sink plus
-// every flow, all on the lab's event loop.
-func (ct CrossTraffic) spawn(l *lab.Lab, fail func(error)) error {
-	if err := ct.spawnSink(l, fail); err != nil {
-		return err
-	}
-	c := ct.withDefaults()
 	clients := len(l.Hosts) - 1
 	for f := 0; f < c.Flows; f++ {
-		ct.spawnFlow(l.Env, l.Hosts[c.flowHost(f, clients)], f, fail)
+		l.Env.Spawn(fmt.Sprintf("cross.flow%d", f), &crossFlowFrame{
+			host: l.Hosts[c.flowHost(f, clients)], ct: c, f: f, fail: fail,
+		})
 	}
 	return nil
 }

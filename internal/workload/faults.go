@@ -11,6 +11,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/lab"
@@ -29,8 +30,7 @@ const faultAcceptMax = 1 << 30
 // FaultRecovery is the crash-study generator. Every client paces
 // requests at Interval so the configured crash lands mid-stream, then
 // rides out the outage: deadline-abort, backoff, reconnect, retry the
-// interrupted request. Host crashes mutate cross-shard state, so the
-// generator is serial-only (lab.ScheduleFaults enforces this).
+// interrupted request.
 type FaultRecovery struct {
 	Size     int      // request/response payload bytes (default 200)
 	Requests int      // measured requests per client (default 20)
@@ -320,11 +320,11 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 				*f.recov = append(*f.recov, now-f.down)
 				f.down = 0
 			}
-			f.sink.record(f.ci, now-f.start, now)
+			f.sink.record(f.ci, now-f.start)
 			if now > *f.last {
 				*f.last = now
 			}
-			if !bytesEqual(f.buf, f.msg) {
+			if !bytes.Equal(f.buf, f.msg) {
 				f.r.Errors++
 			}
 			f.i++
@@ -465,11 +465,11 @@ func (f *rudpFaultClientFrame) Step(p *sim.Proc) {
 				*f.recov = append(*f.recov, now-f.down)
 				f.down = 0
 			}
-			f.sink.record(f.ci, now-f.start, now)
+			f.sink.record(f.ci, now-f.start)
 			if now > *f.last {
 				*f.last = now
 			}
-			if !bytesEqual(f.buf[:f.g.Size], f.msg) {
+			if !bytes.Equal(f.buf[:f.g.Size], f.msg) {
 				f.r.Errors++
 			}
 			f.i++

@@ -144,70 +144,3 @@ func TestLoadedRUDPDeterminism(t *testing.T) {
 		t.Errorf("fresh rudp labs diverged:\n%.300s\n%.300s", want, got)
 	}
 }
-
-// TestShardedRejectsBurstLoss pins the construction-time rejection: the
-// impairment knobs join the fault knobs sharded execution refuses.
-func TestShardedRejectsBurstLoss(t *testing.T) {
-	cfg := lab.Config{
-		Link: lab.LinkATM, Seed: 1,
-		BurstLoss: sim.GEParams{PGoodBad: 0.01, PBadGood: 0.5, LossBad: 0.5},
-	}
-	if _, err := lab.NewCluster(cfg, 4, 2); err == nil {
-		t.Error("NewCluster accepted a burst-loss configuration")
-	}
-	cfg = lab.Config{Link: lab.LinkATM, Seed: 1, ReorderRate: 0.01}
-	if _, err := lab.NewCluster(cfg, 4, 2); err == nil {
-		t.Error("NewCluster accepted a reordering configuration")
-	}
-	// Reset must reject them too.
-	c, err := lab.NewCluster(lab.Config{Link: lab.LinkATM, Seed: 1}, 4, 2)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	if _, err := workload.RunSharded(workload.FanIn{Requests: 2, Size: 64}, c); err != nil {
-		t.Fatalf("sharded fan-in: %v", err)
-	}
-	bad := lab.Config{
-		Link: lab.LinkATM, Seed: 2,
-		BurstLoss: sim.GEParams{PGoodBad: 0.01, PBadGood: 0.5, LossBad: 0.5},
-	}
-	if err := c.Reset(bad, 0); err == nil {
-		t.Error("Cluster.Reset accepted a burst-loss configuration")
-	}
-}
-
-// TestShardedLoadedBitIdentity requires the shardable slice of the
-// loaded tier — qdisc plus cross traffic, both transports — to
-// reproduce its serial run byte for byte across shard counts.
-func TestShardedLoadedBitIdentity(t *testing.T) {
-	for _, transport := range []string{workload.TransportTCP, workload.TransportRUDP} {
-		cfg := lab.Config{
-			Link: lab.LinkATM, Seed: 17, PacketTrace: true,
-			Qdisc: lab.QdiscConfig{Kind: lab.QdiscRED},
-		}
-		g := workload.FanIn{
-			Transport: transport, Requests: 4, Size: 200,
-			Cross: &workload.CrossTraffic{Flows: 2, Transfers: 2, MaxBytes: 32768},
-		}
-		serial, err := g.Run(lab.NewTopology(cfg, 5))
-		if err != nil {
-			t.Fatalf("%s serial: %v", transport, err)
-		}
-		want, _ := json.Marshal(serial)
-		for _, shards := range []int{2, 3} {
-			c, err := lab.NewCluster(cfg, 5, shards)
-			if err != nil {
-				t.Fatalf("NewCluster(%d): %v", shards, err)
-			}
-			got, err := workload.RunSharded(g, c)
-			if err != nil {
-				t.Fatalf("%s sharded(%d): %v", transport, shards, err)
-			}
-			gotJSON, _ := json.Marshal(got)
-			if string(gotJSON) != string(want) {
-				t.Errorf("%s on %d shards diverged from serial\nserial:  %.200s\nsharded: %.200s",
-					transport, shards, want, gotJSON)
-			}
-		}
-	}
-}

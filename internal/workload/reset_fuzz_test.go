@@ -8,7 +8,7 @@ import (
 	"repro/internal/workload"
 )
 
-// fuzzTrial derives a topology/workload/shard configuration from raw
+// fuzzTrial derives a topology/workload configuration from raw
 // fuzz bytes, clamped to shapes a trial can finish quickly, and returns
 // the generator plus the lab config and host count.
 func fuzzTrial(fabric, leafPorts, hosts, wl uint8, seed uint16) (workload.Generator, lab.Config, int) {
@@ -29,19 +29,19 @@ func fuzzTrial(fabric, leafPorts, hosts, wl uint8, seed uint16) (workload.Genera
 	default:
 		// Sub-MSS chunks included: they exercise the sbcompress path in
 		// the socket buffer (the ROADMAP 3b livelock fix) on top of the
-		// shard-identity property this harness is hunting.
+		// reset-identity property this harness is hunting.
 		g = workload.Bulk{Bytes: 16384, Chunk: 1 + int(seed%8192)}
 	}
 	return g, cfg, n
 }
 
-// FuzzShardedBitIdentity throws randomized topology, workload, and
-// shard-count combinations at the sharded executor and requires every
-// one to reproduce its serial run byte-for-byte — the metamorphic matrix
-// test with the corners chosen adversarially instead of by hand.
-func FuzzShardedBitIdentity(f *testing.F) {
-	// Seed corpus: one per workload, both fabrics, awkward shard counts
-	// (1 = degenerate, clamped, prime, and power-of-two splits).
+// FuzzResetBitIdentity throws randomized topology and workload
+// combinations at the testbed-reuse contract: a lab warmed by a
+// different generator and then Reset must reproduce a freshly built
+// lab's run byte-for-byte. The fifth argument picks the warm-up
+// generator; it never equals the measured one.
+func FuzzResetBitIdentity(f *testing.F) {
+	// Seed corpus: one per workload, both fabrics, every warm-up choice.
 	f.Add(uint8(0), uint8(0), uint8(6), uint8(0), uint8(2), uint16(1994))
 	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint8(3), uint16(7))
 	f.Add(uint8(0), uint8(0), uint8(4), uint8(1), uint8(4), uint16(21))
@@ -51,30 +51,32 @@ func FuzzShardedBitIdentity(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(3), uint8(8), uint16(40))
 	f.Add(uint8(1), uint8(3), uint8(6), uint8(3), uint8(2), uint16(5))
 
-	f.Fuzz(func(t *testing.T, fabric, leafPorts, hosts, wl, shards uint8, seed uint16) {
+	f.Fuzz(func(t *testing.T, fabric, leafPorts, hosts, wl, warm uint8, seed uint16) {
 		g, cfg, n := fuzzTrial(fabric, leafPorts, hosts, wl, seed)
-		nShards := 1 + int(shards%8)
-
-		serialLab := lab.NewTopology(cfg, n)
-		want, err := g.Run(serialLab)
+		want, err := g.Run(lab.NewTopology(cfg, n))
 		if err != nil {
-			t.Fatalf("serial run failed: %v", err)
+			t.Fatalf("fresh run failed: %v", err)
 		}
 		wantJSON, _ := json.Marshal(want)
 
-		c, err := lab.NewCluster(cfg, n, nShards)
-		if err != nil {
-			t.Fatalf("NewCluster(%+v, %d, %d): %v", cfg, n, nShards, err)
+		// The warm-up generator is always a different one (wl%4 + 1..3),
+		// at a different seed, on a lab of the same shape.
+		wg, warmCfg, _ := fuzzTrial(fabric, leafPorts, hosts, wl%4+1+warm%3, seed+1)
+		l := lab.NewTopology(warmCfg, n)
+		if _, err := wg.Run(l); err != nil {
+			t.Fatalf("warm-up %s run failed: %v", wg.Name(), err)
 		}
-		got, err := workload.RunSharded(g, c)
+		if err := l.Reset(cfg, 0); err != nil {
+			t.Fatalf("Reset: %v", err)
+		}
+		got, err := g.Run(l)
 		if err != nil {
-			t.Fatalf("sharded run failed: %v", err)
+			t.Fatalf("run after reset failed: %v", err)
 		}
 		gotJSON, _ := json.Marshal(got)
 		if string(gotJSON) != string(wantJSON) {
-			t.Errorf("%s on %d hosts (fabric %v, leaf %d), %d shards (eff %d): diverged from serial\nserial:  %.200s\nsharded: %.200s",
-				g.Name(), n, cfg.Fabric, cfg.LeafPorts, nShards, c.NumShards(),
-				wantJSON, gotJSON)
+			t.Errorf("%s on %d hosts (fabric %v, leaf %d) after a %s warm-up: diverged from a fresh lab\nfresh: %.200s\nreset: %.200s",
+				g.Name(), n, cfg.Fabric, cfg.LeafPorts, wg.Name(), wantJSON, gotJSON)
 		}
 	})
 }

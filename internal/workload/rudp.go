@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/lab"
@@ -125,12 +126,10 @@ func (f *rudpServeEchoFrame) Step(p *sim.Proc) {
 }
 
 // rudpFanInClientFrame is one fan-in client on the rudp transport:
-// stagger, dial, warm+reqs message exchanges, close. Shard-agnostic
-// like its TCP twin — all state flows through p.Env() and per-client
-// accumulators.
+// stagger, dial, warm+reqs message exchanges, close.
 type rudpFanInClientFrame struct {
 	host             *lab.Host
-	ci, si           int
+	ci               int
 	size, warm, reqs int
 	startAt          sim.Time
 	sink             *latSink
@@ -203,12 +202,11 @@ func (f *rudpFanInClientFrame) Step(p *sim.Proc) {
 			f.recv = nil
 			if f.i >= f.warm {
 				now := p.Env().Now()
-				lat := now - f.start
-				f.sink.record(f.si, lat, now)
+				f.sink.record(f.ci, now-f.start)
 				if now > *f.last {
 					*f.last = now
 				}
-				if !bytesEqual(f.buf[:f.size], f.msg) {
+				if !bytes.Equal(f.buf[:f.size], f.msg) {
 					f.r.Errors++
 				}
 			}

@@ -17,6 +17,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/lab"
@@ -109,13 +110,6 @@ func (g Echo) Run(l *lab.Lab) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return echoResult(l, size, res), nil
-}
-
-// echoResult folds a lab echo run into the workload result shape. Shared
-// by the serial path above and the sharded path (Cluster.RunEcho returns
-// the same lab.EchoResult).
-func echoResult(l *lab.Lab, size int, res *lab.EchoResult) *Result {
 	r := &Result{
 		Workload:  "echo",
 		Requests:  len(res.RTTs),
@@ -129,7 +123,7 @@ func echoResult(l *lab.Lab, size int, res *lab.EchoResult) *Result {
 		r.Elapsed = res.Windows[len(res.Windows)-1].ReadReturn
 	}
 	collectTrace(l, r)
-	return r
+	return r, nil
 }
 
 // collectTrace attaches the merged packet-event stream to a result when
@@ -165,15 +159,6 @@ func armWatchdog(l *lab.Lab) *sim.Watchdog {
 	return l.ArmWatchdog(0)
 }
 
-// armClusterWatchdog is armWatchdog for the sharded path: one shared
-// watchdog spanning every shard's event loop.
-func armClusterWatchdog(c *lab.Cluster) *sim.Watchdog {
-	if w := c.Lab.Watchdog(); w != nil {
-		return w
-	}
-	return c.ArmWatchdog(0)
-}
-
 // latSink collects per-operation latencies for the multi-client
 // generators. In exact mode (the zero stats.Config) it retains every
 // latency per client, exactly as the generators always have, and emits
@@ -186,12 +171,7 @@ func armClusterWatchdog(c *lab.Cluster) *sim.Watchdog {
 type latSink struct {
 	counts    []int
 	perClient [][]sim.Time
-	// times retains each operation's completion time alongside perClient.
-	// Only sharded streaming runs arm it: they must buffer per client and
-	// replay the stream into the aggregate in canonical completion order
-	// afterwards, since shards complete operations concurrently.
-	times [][]sim.Time
-	agg   *stats.Sample
+	agg       *stats.Sample
 	// wd, when armed, receives a progress report per recorded operation,
 	// so the no-progress watchdog distinguishes a run that is merely slow
 	// from one that has stopped completing work.
@@ -209,20 +189,8 @@ func newLatSink(clients int, cfg stats.Config) *latSink {
 	return s
 }
 
-// newShardSink builds a single-slot sink for one client of a sharded
-// run: always per-client retention (an order-independent collection the
-// merge step folds canonically), with completion times kept when a
-// streaming aggregate will be replayed afterwards.
-func newShardSink(retainTimes bool) *latSink {
-	s := &latSink{counts: make([]int, 1), perClient: make([][]sim.Time, 1)}
-	if retainTimes {
-		s.times = make([][]sim.Time, 1)
-	}
-	return s
-}
-
-// record folds in one measured operation for client ci completing at at.
-func (s *latSink) record(ci int, lat, at sim.Time) {
+// record folds in one measured operation of latency lat for client ci.
+func (s *latSink) record(ci int, lat sim.Time) {
 	if s.wd != nil {
 		s.wd.Progress()
 	}
@@ -232,9 +200,6 @@ func (s *latSink) record(ci int, lat, at sim.Time) {
 		return
 	}
 	s.perClient[ci] = append(s.perClient[ci], lat)
-	if s.times != nil {
-		s.times[ci] = append(s.times[ci], at)
-	}
 }
 
 // finish validates that every client measured want operations and moves
@@ -289,8 +254,7 @@ type FanIn struct {
 	Transport string
 	// Faults schedules deterministic fault events against the topology
 	// before traffic starts (see sim.FaultSchedule): link flaps stall
-	// clients behind retransmission backoff without failing them. The
-	// sharded path accepts only the shard-safe kinds (link flips).
+	// clients behind retransmission backoff without failing them.
 	Faults sim.FaultSchedule
 }
 
@@ -354,14 +318,14 @@ func (g FanIn) Run(l *lab.Lab) (*Result, error) {
 		host := l.Hosts[ci+1]
 		if g.Transport == TransportRUDP {
 			l.Env.Spawn(fmt.Sprintf("client%d.fanin", ci), &rudpFanInClientFrame{
-				host: host, ci: ci, si: ci, size: size, warm: warm, reqs: reqs,
+				host: host, ci: ci, size: size, warm: warm, reqs: reqs,
 				startAt: sim.Time(ci) * g.Stagger,
 				sink:    sink, last: &last, r: r, fail: fail,
 			})
 			continue
 		}
 		l.Env.Spawn(fmt.Sprintf("client%d.fanin", ci), &fanInClientFrame{
-			host: host, ci: ci, si: ci, size: size, warm: warm, reqs: reqs,
+			host: host, ci: ci, size: size, warm: warm, reqs: reqs,
 			startAt: sim.Time(ci) * g.Stagger,
 			sink:    sink, last: &last, r: r, fail: fail,
 		})
@@ -433,7 +397,7 @@ func (g Churn) Run(l *lab.Lab) (*Result, error) {
 	for ci := 0; ci < clients; ci++ {
 		host := l.Hosts[ci+1]
 		l.Env.Spawn(fmt.Sprintf("client%d.churn", ci), &churnClientFrame{
-			host: host, ci: ci, si: ci, size: size, conns: conns,
+			host: host, ci: ci, size: size, conns: conns,
 			sink: sink, last: &last, r: r, fail: fail,
 		})
 	}
@@ -691,13 +655,10 @@ func (f *exchangeFrame) Step(p *sim.Proc) {
 
 // fanInClientFrame is one fan-in client: wait out its stagger slot,
 // connect once, then run warm+reqs request/response exchanges, measuring
-// the post-warmup ones. All simulation state flows through p.Env() —
-// the client's own shard in a sharded run, the lab's only env serially
-// — and all shared accumulators (sink slot si, last, r, fail) are
-// per-client in sharded runs, so the frame itself is shard-agnostic.
+// the post-warmup ones.
 type fanInClientFrame struct {
 	host             *lab.Host
-	ci, si           int
+	ci               int
 	size, warm, reqs int
 	startAt          sim.Time
 	sink             *latSink
@@ -760,12 +721,11 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 			f.ex = nil
 			if f.i >= f.warm {
 				now := p.Env().Now()
-				lat := now - f.start
-				f.sink.record(f.si, lat, now)
+				f.sink.record(f.ci, now-f.start)
 				if now > *f.last {
 					*f.last = now
 				}
-				if !bytesEqual(f.buf, f.msg) {
+				if !bytes.Equal(f.buf, f.msg) {
 					f.r.Errors++
 				}
 			}
@@ -779,12 +739,10 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 }
 
 // churnClientFrame is one churn client: each cycle connects, exchanges
-// once, and closes; the whole cycle is the measured operation. Like the
-// fan-in client it is shard-agnostic: p.Env() and per-client
-// accumulators are all it touches.
+// once, and closes; the whole cycle is the measured operation.
 type churnClientFrame struct {
 	host        *lab.Host
-	ci, si      int
+	ci          int
 	size, conns int
 	sink        *latSink
 	last        *sim.Time
@@ -839,12 +797,11 @@ func (f *churnClientFrame) Step(p *sim.Proc) {
 			}
 			f.ex = nil
 			now := p.Env().Now()
-			lat := now - f.start
-			f.sink.record(f.si, lat, now)
+			f.sink.record(f.ci, now-f.start)
 			if now > *f.last {
 				*f.last = now
 			}
-			if !bytesEqual(f.buf, f.msg) {
+			if !bytes.Equal(f.buf, f.msg) {
 				f.r.Errors++
 			}
 			f.pc = 4
@@ -983,16 +940,4 @@ func defInt(v, d int) int {
 		return d
 	}
 	return v
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
